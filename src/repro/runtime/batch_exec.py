@@ -1,8 +1,8 @@
 """Vectorized batch execution of parallel loops.
 
-The tree-walking interpreter in :mod:`repro.runtime.executor` evaluates
-every iteration of every ``#pragma omp parallel for`` loop trip by trip,
-which makes ``_eval`` the hot path of every workload run.  The paper's
+The scalar tier in :mod:`repro.runtime.executor` evaluates every
+iteration of every ``#pragma omp parallel for`` loop trip by trip, which
+makes per-node evaluation the hot path of every workload run.  The paper's
 own premise (Section IV) is that regular, affine loop bodies vectorize —
 and the same regularity lets us *interpret* them as whole-array numpy
 operations: one symbolic walk of the body evaluates each expression for
@@ -571,7 +571,7 @@ class _BatchRunner:
     def _resolve_subscript(self, node: ast.Subscript, frame: _Frame, eff):
         """Evaluate base and index; returns (array, slots, ordinals) where
         slots/ordinals cover the effective lanes only.  Index operations
-        are charged, exactly like the tree's ``_resolve_subscript``."""
+        are charged, exactly like the scalar tier's subscript resolution."""
         if not isinstance(node.base, ast.Ident):
             raise BatchIneligible("subscript base is not a name")
         base = self._lookup(node.base.name, frame, eff)
@@ -687,7 +687,7 @@ class _BatchRunner:
         frame.scopes[-1][0][stmt.name] = value
 
     def _vcoerce(self, typ: ast.Type, value):
-        """The tree walker's ``_coerce`` lifted to lane vectors."""
+        """The scalar tier's declaration/cast coercion lifted to lane vectors."""
         if not isinstance(typ, ast.BaseType):
             return value  # pointers and the like pass through unchanged
         if typ.name == "int" and not isinstance(value, np.ndarray):
@@ -1084,7 +1084,7 @@ class _uncounted:
     """Discards counter accrual on exit (loop cond/step evaluation).
 
     Staging and hazard tracking stay live — only the counters roll back,
-    mirroring the tree's ``_eval_clause``/``_exec_free``."""
+    mirroring the scalar tier's uncharged loop condition and step."""
 
     __slots__ = ("runner", "saved")
 
