@@ -100,10 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--optimize", action="store_true",
                       help="apply the COMP pipeline before running")
     runp.add_argument("--engine", choices=ENGINES, default="auto",
-                      help="interpreter engine: generated-numpy codegen, "
-                           "batched numpy fast path, or the tree walker; "
-                           "auto picks the fastest eligible tier "
-                           "(codegen -> batch -> tree, default auto)")
+                      help="interpreter engine: generated-numpy codegen "
+                           "or the scalar tier; auto (like codegen) runs "
+                           "each parallel loop on the fastest eligible "
+                           "tier (codegen -> tree, default auto)")
     runp.add_argument("--print-array", action="append", default=[],
                       metavar="NAME", help="print an array's head afterwards")
     runp.add_argument("--inject-faults", action="store_true",
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("names", nargs="*", help="benchmark names (default all)")
     bench.add_argument("--engine", choices=ENGINES, default=None,
                        help="interpreter engine for all runs: codegen, "
-                            "batch, tree, or auto (default: per-workload)")
+                            "tree, or auto (default: per-workload)")
     bench.add_argument("--seed", type=int, default=None,
                        help="reseed workload input generation "
                             "(default: fixed per-workload inputs)")
@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="opt")
     faults.add_argument("--engine", choices=ENGINES, default=None,
                         help="interpreter engine for every scenario: "
-                             "codegen, batch, tree, or auto "
+                             "codegen, tree, or auto "
                              "(default: per-workload)")
     faults.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="fan scenario cells out over N worker "

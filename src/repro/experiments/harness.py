@@ -85,8 +85,8 @@ ISOLATION_PLANS = {
 class SuiteRunner:
     """Runs and caches benchmark variants.
 
-    *engine* selects the interpreter engine ("auto", "codegen", "batch",
-    "tree", or None for per-workload defaults) for every run this
+    *engine* selects the interpreter engine ("auto", "codegen", "tree",
+    or None for per-workload defaults) for every run this
     harness issues; it participates in the cache key so one runner can
     compare engines.
     *seed* reseeds workload input generation (the global ``--seed``

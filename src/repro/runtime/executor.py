@@ -31,7 +31,7 @@ other name goes through the environment in ``frame[0]`` (the host or
 device root, or whatever :class:`Env` the unit was handed).  Parallel
 loops leave the compiled code through :meth:`Executor._exec_parallel_for`
 with a :class:`_FrameView` — an :class:`Env` over the frame — so the
-codegen and batch tiers see the same scope contract either way.
+codegen tier sees the same scope contract either way.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from repro.minic.parser import parse
 from repro.minic.visitor import walk as walk_nodes
 from repro.runtime import mathops
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime import batch_exec
 from repro.runtime import codegen
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.coi import DEVICE, DMA_FROM_DEVICE, DMA_TO_DEVICE, CoiRuntime
@@ -565,10 +564,10 @@ class ExecutionResult:
 # ==========================================================================
 
 
-#: Execution engines, fastest first.  ``auto`` walks the ladder per
-#: loop: codegen where the emitter proves eligibility, batch for the
-#: general vector cases, tree for everything else.
-ENGINES = ("auto", "codegen", "batch", "tree")
+#: Execution engines, fastest first.  ``auto`` and ``codegen`` walk the
+#: ladder per loop: codegen where the emitter proves eligibility, the
+#: scalar tier (``tree``) for everything else.
+ENGINES = ("auto", "codegen", "tree")
 
 
 class Executor:
@@ -605,10 +604,6 @@ class Executor:
         self._loop_vars: List[str] = []
         self._host_root = _HostRootEnv(self.machine.host)
         self._device_root = _DeviceRootEnv(self.machine.device)
-        # Batched execution: per-loop static verdicts and engagement
-        # telemetry (how many parallel loops ran batched vs fell back).
-        self._batch_static_cache: Dict[int, object] = {}
-        self._batch_stats = {"batched": 0, "fallback": 0}
         # Codegen execution: per-loop static verdicts plus engagement and
         # compile-cache telemetry for the generated-kernel tier.
         self._codegen_static_cache: Dict[int, object] = {}
@@ -825,10 +820,8 @@ class Executor:
         ctx.in_parallel = True
         try:
             trips = None
-            if self.engine in ("auto", "codegen"):
+            if self.engine != "tree":
                 trips = codegen.try_run_parallel_for(self, loop, env)
-            if trips is None and self.engine != "tree":
-                trips = batch_exec.try_run_parallel_for(self, loop, env)
             if trips is None:
                 trips = self._run_loop(loop, env)
         finally:
@@ -871,14 +864,6 @@ class Executor:
             return
         ctx.add_parallel(loop_counters, trips, vectorizable)
 
-    def _loop_var_name(self, loop: ast.For) -> Optional[str]:
-        if isinstance(loop.init, ast.VarDecl):
-            return loop.init.name
-        if isinstance(loop.init, ast.Assign) and isinstance(
-            loop.init.target, ast.Ident
-        ):
-            return loop.init.target.name
-        return None
     # -- vectorizability ------------------------------------------------------------------------
 
     def _is_vectorizable(self, loop: ast.For, env: Env) -> bool:
@@ -897,7 +882,7 @@ class Executor:
             for f in [loop] + [
                 s for s in _walk_stmts(loop.body) if isinstance(s, ast.For)
             ]:
-                name = self._loop_var_name(f)
+                name = codegen._loop_var_name(f)
                 if name is not None:
                     nest_vars.append(name)
             index_names = set()
@@ -1767,11 +1752,17 @@ class Executor:
         """
         if not self._loop_vars:
             return False
-        var = self._loop_vars[-1]
+        return self._irregular_verdict(
+            node, self._loop_vars[-1], env.int_bindings
+        )
+
+    def _irregular_verdict(self, node: ast.Subscript, var: str, bindings) -> bool:
+        """The site's verdict under innermost loop variable *var*;
+        *bindings()* supplies the integer bindings on first use."""
         key = (id(node), var)
         cached = self._access_cache.get(key)
         if cached is None:
-            cached = self._classify_site(node.index, var, env.int_bindings())
+            cached = self._classify_site(node.index, var, bindings())
             self._access_cache[key] = cached
         return cached in (
             AccessKind.INDIRECT,
@@ -1876,7 +1867,7 @@ _ROOT._table = {}
 class _FrameView(Env):
     """Env's contract over a compiled frame at one point of a unit.
 
-    Handed to everything outside the compiled code — the vector tiers,
+    Handed to everything outside the compiled code — the codegen tier,
     offload clause processing, host fallback — which may read, assign,
     declare and collect integer bindings exactly as through a scope chain.
     """
@@ -2426,7 +2417,7 @@ class _Compiler:
             self.uncharged_stmt(node.step, scope, token, unit)
             if node.step is not None else None
         )
-        var = ex._loop_var_name(node)
+        var = codegen._loop_var_name(node)
         loop_vars = ex._loop_vars
         reset = tuple(reset)
 

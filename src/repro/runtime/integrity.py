@@ -90,7 +90,7 @@ def arena_segment_checksum(arena, buf) -> int:
 def _corruption_rng(site: str, fault: Fault, nbytes: int) -> np.random.Generator:
     """The deterministic byte-flip stream for one injected corruption.
 
-    Seeded purely from plan-derived integers, so batch and tree engines
+    Seeded purely from plan-derived integers, so codegen and tree engines
     corrupt (and therefore detect and repair) identically.
     """
     return np.random.default_rng((FAULT_SITES.index(site), fault.index, nbytes))

@@ -1,15 +1,15 @@
-"""Shared numpy-backed math builtins for all three execution engines.
+"""Shared numpy-backed math builtins for both execution engines.
 
-The tree walker, the batch engine, and the codegen engine must produce
-bit-identical outputs.  numpy's float64 ufuncs (``np.exp`` …) are not
+The scalar tier and the codegen tier must produce bit-identical
+outputs.  numpy's float64 ufuncs (``np.exp`` …) are not
 bitwise equal to libm's (:mod:`math`) for every input, so the engines
 cannot mix the two families.  This module makes *numpy* the single
 reference implementation:
 
-* the tree walker calls the scalar wrappers below (one element at a
+* the scalar tier calls the scalar wrappers below (one element at a
   time, through ``_BUILTIN_IMPL``);
-* the batch and codegen engines call the vector implementations over
-  whole lane vectors.
+* the codegen tier calls the vector implementations over whole lane
+  vectors.
 
 numpy evaluates a 0-d/scalar ufunc call through the same kernel as the
 corresponding lane of a vectorized call, so scalar and vector results
@@ -100,7 +100,7 @@ def scalar_pow(x, y):
 
 
 # --------------------------------------------------------------------------
-# Vector implementations (batch + codegen engines)
+# Vector implementations (codegen tier)
 # --------------------------------------------------------------------------
 
 

@@ -89,7 +89,7 @@ class WorkloadRun:
     #: Real (wall-clock) interpretation time of the run, in seconds —
     #: independent of the *simulated* time in ``stats``.
     wall_seconds: float = 0.0
-    #: Execution engine the run used ("auto", "batch", or "tree").
+    #: Execution engine the run used ("auto", "codegen", or "tree").
     engine: str = "auto"
     #: Fault-injection and recovery accounting for the run (empty when
     #: the machine had no fault plan).
@@ -108,7 +108,7 @@ class Workload:
     table2: Table2Row
 
     #: Default execution engine for this workload; None inherits "auto".
-    #: A workload whose loops are known batch-hostile can pin "tree".
+    #: A workload whose loops are known codegen-hostile can pin "tree".
     engine: Optional[str] = None
 
     #: Global input seed (the ``--seed`` flag); None keeps each

@@ -216,3 +216,15 @@ class TestDeviceMemory:
         mm.free_all()
         assert mm.in_use == 0
         assert not mm.holds("A")
+
+
+def test_opcounters_copy_and_as_dict():
+    counters = OpCounters(flops=3, loads=2, bytes_read=16)
+    clone = counters.copy()
+    clone.flops += 1
+    assert counters.flops == 3
+    assert counters.as_dict()["bytes_read"] == 16
+    assert set(counters.as_dict()) >= {
+        "flops", "int_ops", "loads", "stores", "bytes_read",
+        "bytes_written", "irregular_accesses", "calls", "branches",
+    }

@@ -1,10 +1,10 @@
-"""Differential test: all execution engines against the tree walker.
+"""Differential test: the codegen tier against the scalar tier.
 
-The batch and codegen execution tiers must be pure performance changes:
+The codegen execution tier must be a pure performance change:
 for every workload the outputs must be bit-identical, the dynamic
 operation counters identical, and the simulated time identical to the
 tree-walking interpreter's.  Any divergence means an engine's semantics
-or its analytic counter model drifted from the reference walker.
+or its analytic counter model drifted from the reference tier.
 """
 
 import functools
@@ -24,7 +24,7 @@ def _run(name, engine):
     return get_workload(name).run("opt", engine=engine)
 
 
-@pytest.mark.parametrize("engine", ["batch", "codegen"])
+@pytest.mark.parametrize("engine", ["codegen"])
 @pytest.mark.parametrize("name", workload_names())
 def test_engines_agree(name, engine):
     tree = _run(name, "tree")
@@ -83,23 +83,35 @@ def test_tracing_is_invisible(name):
     assert tracer.spans
 
 
-def test_batch_engine_actually_engages():
-    """The fast path must really run, not silently fall back everywhere."""
+def test_codegen_engages_on_inlined_calls():
+    """blackscholes' streamed kernel (offset indexes, an inner loop and an
+    inlined pricing function with early returns) must really run on the
+    codegen tier, and agree with the scalar tier."""
     from repro.runtime.executor import Executor
 
     workload = get_workload("blackscholes")
     assert isinstance(workload, MiniCWorkload)
     program = workload.opt_program()
-    executor = Executor(
-        program, workload.machine(), engine="batch"
-    )
-    executor.run(arrays=workload.make_arrays(), scalars=dict(workload.scalars))
-    assert executor._batch_stats["batched"] > 0
+    runs = {}
+    for engine in ("codegen", "tree"):
+        executor = Executor(program, workload.machine(), engine=engine)
+        result = executor.run(
+            arrays=workload.make_arrays(), scalars=dict(workload.scalars)
+        )
+        runs[engine] = (executor, result)
+    executor, result = runs["codegen"]
+    assert executor._codegen_stats["ran"] > 0
+    assert executor._codegen_stats["fallback"] == 0
+    tree = runs["tree"][1]
+    for key in workload.output_arrays:
+        assert result.array(key).tobytes() == tree.array(key).tobytes()
+    assert result.stats.ops.as_dict() == tree.stats.ops.as_dict()
+    assert result.stats.total_time == tree.stats.total_time
 
 
 def test_codegen_engine_actually_engages():
-    """A straight-line kernel must run through the generated-source tier
-    (compiled exactly once), not silently fall back to batch."""
+    """A straight-line kernel must run through the generated-source tier,
+    not silently fall back to the scalar tier."""
     from repro.runtime.executor import Executor, Machine, run_program
 
     src = """
@@ -233,18 +245,18 @@ def test_integrity_full_costs_only_time(name):
 def test_mic_variant_agrees_for_blackscholes():
     workload = get_workload("blackscholes")
     tree = workload.run("mic", engine="tree")
-    batch = workload.run("mic", engine="batch")
+    fast = workload.run("mic", engine="codegen")
     for key in tree.outputs:
-        assert tree.outputs[key].tobytes() == batch.outputs[key].tobytes()
-    assert batch.stats.total_time == tree.stats.total_time
-    assert batch.stats.ops.as_dict() == tree.stats.ops.as_dict()
+        assert tree.outputs[key].tobytes() == fast.outputs[key].tobytes()
+    assert fast.stats.total_time == tree.stats.total_time
+    assert fast.stats.ops.as_dict() == tree.stats.ops.as_dict()
 
 
 def test_cpu_variant_agrees_for_kmeans():
     workload = get_workload("kmeans")
     tree = workload.run("cpu", engine="tree")
-    batch = workload.run("cpu", engine="batch")
+    fast = workload.run("cpu", engine="codegen")
     for key in tree.outputs:
-        assert tree.outputs[key].tobytes() == batch.outputs[key].tobytes()
-    assert batch.stats.total_time == tree.stats.total_time
-    assert batch.stats.ops.as_dict() == tree.stats.ops.as_dict()
+        assert tree.outputs[key].tobytes() == fast.outputs[key].tobytes()
+    assert fast.stats.total_time == tree.stats.total_time
+    assert fast.stats.ops.as_dict() == tree.stats.ops.as_dict()

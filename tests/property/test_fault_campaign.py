@@ -5,8 +5,8 @@ Two system-wide invariants backstop the resilience work:
 * **determinism** — a campaign is a pure function of its seed: running
   it twice yields byte-equal summaries (same faults at the same
   operations, same recovery costs, same outputs);
-* **engine independence** — the interpreter engine (batched numpy vs
-  tree walker) changes how device bodies are evaluated, never *what*
+* **engine independence** — the interpreter engine (codegen vs the
+  scalar tier) changes how device bodies are evaluated, never *what*
   the offload runtime does, so the same fault plan produces identical
   outputs and identical :class:`FaultStats` under either engine.
 """
@@ -58,19 +58,19 @@ class TestEngineDifferential:
         run = workload.run("opt", machine=machine, engine=engine)
         return run, machine
 
-    def test_batch_and_tree_agree_under_faults(self):
-        batch_run, batch_machine = self._run("batch")
+    def test_codegen_and_tree_agree_under_faults(self):
+        codegen_run, codegen_machine = self._run("codegen")
         tree_run, tree_machine = self._run("tree")
-        assert batch_machine.fault_stats.total_injected > 0
-        assert outputs_identical(batch_run.outputs, tree_run.outputs)
+        assert codegen_machine.fault_stats.total_injected > 0
+        assert outputs_identical(codegen_run.outputs, tree_run.outputs)
         assert (
-            batch_machine.fault_stats.as_dict()
+            codegen_machine.fault_stats.as_dict()
             == tree_machine.fault_stats.as_dict()
         )
-        assert np.isclose(batch_machine.clock.now, tree_machine.clock.now)
+        assert np.isclose(codegen_machine.clock.now, tree_machine.clock.now)
 
     def test_fault_stats_flow_into_workload_run(self):
-        run, machine = self._run("batch")
+        run, machine = self._run("codegen")
         assert run.fault_stats is machine.fault_stats
 
 

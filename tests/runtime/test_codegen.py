@@ -1,4 +1,9 @@
-"""Codegen tier: generated-source cache, fallback ladder, determinism.
+"""Codegen tier: loop shapes, fallback ladder, generated-source cache.
+
+Each shape test runs one small MiniC program under the scalar tier and
+under codegen and asserts the two agree bit-for-bit on outputs, dynamic
+operation counters and simulated time — including fallback and error
+cases, where codegen must behave as if it never ran.
 
 The lru parse cache means two parses of the same source return distinct
 AST clones; the kernel cache must still share one compiled function
@@ -44,6 +49,402 @@ def _run(src, arrays, scalars, engine="codegen"):
     executor = Executor(parse(src), Machine(), engine=engine)
     result = executor.run(arrays=arrays, scalars=scalars)
     return executor, result
+
+
+def _run_both(source, make_arrays, scalars=None, outputs=()):
+    """Run under the scalar tier and codegen; assert parity; return the
+    codegen executor."""
+    arrays = make_arrays()
+    _, tree = _run(source, {k: v.copy() for k, v in arrays.items()},
+                   dict(scalars or {}), engine="tree")
+    cg_ex, cg = _run(source, arrays, dict(scalars or {}))
+    for name in outputs:
+        expected, actual = tree.array(name), cg.array(name)
+        assert expected.dtype == actual.dtype, name
+        assert expected.tobytes() == actual.tobytes(), name
+    assert cg.stats.ops.as_dict() == tree.stats.ops.as_dict()
+    assert cg.stats.total_time == tree.stats.total_time
+    return cg_ex
+
+
+def _fails_alike(source, arrays, scalars):
+    """The codegen run fails exactly like the scalar tier: same error
+    class and text, same partial state; returns the codegen executor."""
+    seen = {}
+    for engine in ("tree", "codegen"):
+        executor = Executor(parse(source), Machine(), engine=engine)
+        bound = arrays()
+        with pytest.raises(Exception) as excinfo:
+            executor.run(arrays=bound, scalars=dict(scalars))
+        seen[engine] = (
+            type(excinfo.value).__name__,
+            str(excinfo.value),
+            {k: v.tobytes() for k, v in bound.items()},
+        )
+    assert seen["codegen"] == seen["tree"]
+    return executor
+
+
+# -- loop shapes that run on codegen -----------------------------------------
+
+
+def test_simple_loop_runs_on_codegen():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            B[i] = A[i] * 2.0 + 1.0;
+        }
+    }
+    """
+    ex = _run_both(
+        source,
+        lambda: {
+            "A": np.arange(64, dtype=np.float64),
+            "B": np.zeros(64, dtype=np.float64),
+        },
+        scalars={"n": 64},
+        outputs=("B",),
+    )
+    assert ex._codegen_stats["ran"] == 1
+    assert ex._codegen_stats["fallback"] == 0
+
+
+def test_masked_control_flow():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            if (A[i] > 0.5) {
+                B[i] = sqrt(A[i]);
+            } else {
+                B[i] = A[i] * A[i];
+            }
+            C[i] = A[i] > 0.25 ? 1.0 : -1.0;
+        }
+    }
+    """
+    data = np.random.default_rng(7).random(97)
+    ex = _run_both(
+        source,
+        lambda: {"A": data.copy(), "B": np.zeros(97), "C": np.zeros(97)},
+        scalars={"n": 97},
+        outputs=("B", "C"),
+    )
+    assert ex._codegen_stats["ran"] == 1
+
+
+def test_function_inlining_with_early_return():
+    source = """
+    double clamp01(double x) {
+        if (x < 0.0) {
+            return 0.0;
+        }
+        if (x > 1.0) {
+            return 1.0;
+        }
+        return x;
+    }
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            B[i] = clamp01(A[i] * 3.0 - 1.0);
+        }
+    }
+    """
+    data = np.random.default_rng(11).random(80)
+    ex = _run_both(
+        source,
+        lambda: {"A": data.copy(), "B": np.zeros(80)},
+        scalars={"n": 80},
+        outputs=("B",),
+    )
+    assert ex._codegen_stats["ran"] == 1
+
+
+def test_inner_sequential_loop():
+    source = """
+    void main(int n, int m) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            double acc = 0.0;
+            for (int j = 0; j < m; j++) {
+                acc = acc + A[i * m + j];
+            }
+            B[i] = acc;
+        }
+    }
+    """
+    data = np.random.default_rng(3).random(12 * 5)
+    ex = _run_both(
+        source,
+        lambda: {"A": data.copy(), "B": np.zeros(12)},
+        scalars={"n": 12, "m": 5},
+        outputs=("B",),
+    )
+    assert ex._codegen_stats["ran"] == 1
+
+
+def test_gather_through_index_array():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            B[i] = A[idx[i]] + 1.0;
+        }
+    }
+    """
+    rng = np.random.default_rng(5)
+    perm = rng.permutation(50).astype(np.int32)
+    data = rng.random(50)
+    ex = _run_both(
+        source,
+        lambda: {"A": data.copy(), "idx": perm.copy(), "B": np.zeros(50)},
+        scalars={"n": 50},
+        outputs=("B",),
+    )
+    assert ex._codegen_stats["ran"] == 1
+
+
+def test_irregular_accesses_match_at_paper_scale():
+    """With arrays too big for the cache, gathers, offsets and strided
+    reads inside an inner loop charge bytes and irregular accesses
+    exactly like the scalar tier."""
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 1; i < n; i++) {
+            float s = A[i - 1] + A[2 * i];
+            for (int j = 0; j < 3; j++) {
+                s = s + A[idx[i] + j] * A[i * j];
+            }
+            B[i - 1] = s;
+        }
+    }
+    """
+    rng = np.random.default_rng(9)
+    n = 40
+    src_arrays = {
+        "A": rng.random(4 * n).astype(np.float32),
+        "idx": rng.integers(0, 2 * n, n).astype(np.int32),
+        "B": np.zeros(n, dtype=np.float32),
+    }
+    results = {}
+    for engine in ("tree", "codegen"):
+        executor = Executor(parse(source), Machine(scale=1e5), engine=engine)
+        arrays = {k: v.copy() for k, v in src_arrays.items()}
+        result = executor.run(arrays=arrays, scalars={"n": n})
+        results[engine] = (executor, result, arrays["B"].tobytes())
+    ex, cg, cg_out = results["codegen"]
+    _, tree, tree_out = results["tree"]
+    assert ex._codegen_stats["ran"] == 1
+    assert cg.stats.ops.irregular_accesses > 0
+    assert cg.stats.ops.as_dict() == tree.stats.ops.as_dict()
+    assert cg.stats.total_time == tree.stats.total_time
+    assert cg_out == tree_out
+
+
+def test_inlined_parameters_keep_their_own_lifetimes():
+    """Two inlined functions share a parameter name; the first runs only
+    under a mask that no lane takes.  The second's paper-scale write
+    classifies its site with the MiniC name as a binding key, which must
+    not count as a use of the first parameter's Python variable."""
+    source = """
+    float first(float x, int k) { return x + k; }
+    void put(int k) { OUT2[k] = 1.0; }
+    void main() {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            if (A[i] > 100.0) { OUT[i] = first(A[i], 1); }
+            put(i);
+        }
+    }
+    """
+    results = {}
+    for engine in ("tree", "codegen"):
+        arrays = {"A": np.arange(8.0), "OUT": np.zeros(8), "OUT2": np.zeros(8)}
+        executor = Executor(parse(source), Machine(scale=1e5), engine=engine)
+        result = executor.run(arrays=arrays, scalars={"n": 8})
+        results[engine] = (result.stats.ops.as_dict(), arrays["OUT2"].tobytes())
+    assert executor._codegen_stats["ran"] == 1
+    assert results["codegen"] == results["tree"]
+
+
+# -- shapes that fall back to the scalar tier ------------------------------
+
+
+def test_cross_lane_dependence_falls_back():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 1; i < n; i++) {
+            A[i] = A[i - 1] + 1.0;
+        }
+    }
+    """
+    ex = _run_both(
+        source, lambda: {"A": np.zeros(32)}, scalars={"n": 32}, outputs=("A",)
+    )
+    assert ex._codegen_stats["fallback"] == 1
+    assert ex._codegen_stats["ran"] == 0
+
+
+def test_scalar_reduction_falls_back():
+    source = """
+    void main(int n) {
+        double total = 0.0;
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            total = total + A[i];
+        }
+        B[0] = total;
+    }
+    """
+    ex = _run_both(
+        source,
+        lambda: {"A": np.arange(16, dtype=np.float64), "B": np.zeros(1)},
+        scalars={"n": 16},
+        outputs=("B",),
+    )
+    # Statically ineligible: rejected before any attempt.
+    assert ex._codegen_stats["ran"] == 0
+    info = next(iter(ex._codegen_static_cache.values()))
+    assert not info.eligible
+    assert "total" in info.reason
+
+
+def test_while_body_falls_back():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            double x = A[i];
+            while (x > 1.0) {
+                x = x / 2.0;
+            }
+            B[i] = x;
+        }
+    }
+    """
+    ex = _run_both(
+        source,
+        lambda: {"A": np.arange(24, dtype=np.float64), "B": np.zeros(24)},
+        scalars={"n": 24},
+        outputs=("B",),
+    )
+    assert ex._codegen_stats["ran"] == 0
+    info = next(iter(ex._codegen_static_cache.values()))
+    assert not info.eligible
+
+
+def test_lane_varying_inner_bound_falls_back():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            double acc = 0.0;
+            for (int j = 0; j < counts[i]; j++) {
+                acc = acc + A[j];
+            }
+            B[i] = acc;
+        }
+    }
+    """
+    counts = np.array([1, 3, 2, 5, 4, 2, 1, 3], dtype=np.int32)
+    ex = _run_both(
+        source,
+        lambda: {
+            "A": np.arange(8, dtype=np.float64),
+            "counts": counts.copy(),
+            "B": np.zeros(8),
+        },
+        scalars={"n": 8},
+        outputs=("B",),
+    )
+    assert ex._codegen_stats["fallback"] == 1
+
+
+def test_dynamic_bail_poisons_static_cache():
+    """After a dynamic hazard, the same loop node must not retry."""
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            A[idx[i]] = A[i] + 1.0;
+        }
+    }
+    """
+    idx = np.zeros(8, dtype=np.int32)  # every lane writes slot 0
+    ex = _run_both(
+        source,
+        lambda: {"A": np.arange(8, dtype=np.float64), "idx": idx.copy()},
+        scalars={"n": 8},
+        outputs=("A",),
+    )
+    assert ex._codegen_stats["fallback"] == 1
+    info = next(iter(ex._codegen_static_cache.values()))
+    assert not info.eligible
+
+
+def test_out_of_bounds_error_is_identical():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            B[i + 2] = A[i];
+        }
+    }
+    """
+    ex = _fails_alike(
+        source,
+        lambda: {"A": np.arange(8, dtype=np.float64), "B": np.zeros(8)},
+        {"n": 8},
+    )
+    assert ex._codegen_stats["fallback"] == 1
+
+
+def test_division_by_zero_is_identical():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            B[i] = C[i] / D[i];
+        }
+    }
+    """
+    ex = _fails_alike(
+        source,
+        lambda: {
+            "C": np.arange(8, dtype=np.int32),
+            "D": np.array([1, 2, 1, 0, 1, 1, 1, 1], dtype=np.int32),
+            "B": np.zeros(8, dtype=np.int32),
+        },
+        {"n": 8},
+    )
+    assert ex._codegen_stats["fallback"] == 1
+
+
+def test_tree_engine_never_runs_codegen():
+    source = """
+    void main(int n) {
+        #pragma omp parallel for
+        for (int i = 0; i < n; i++) {
+            B[i] = A[i] + 1.0;
+        }
+    }
+    """
+    executor, _ = _run(
+        source,
+        {"A": np.arange(8, dtype=np.float64), "B": np.zeros(8)},
+        {"n": 8},
+        engine="tree",
+    )
+    assert executor._codegen_stats["ran"] == 0
+    assert executor._codegen_stats["fallback"] == 0
+    assert not executor._codegen_static_cache
+
+
+# -- the kernel cache ----------------------------------------------------------
 
 
 def test_cache_hit_across_parse_clones():
@@ -132,10 +533,9 @@ def test_cached_kernel_indistinguishable_from_fresh(seed, s):
     assert fresh.stats.total_time == tree.stats.total_time
 
 
-def test_fallback_to_batch_for_indirect_index():
-    """An index that is not the induction variable is outside the
-    codegen tier; the ladder must fall through and still agree with the
-    tree walker."""
+def test_invariant_index_runs_on_codegen():
+    """An index that is not the induction variable (here lane-invariant)
+    runs in the codegen tier and agrees with the scalar tier."""
     src = """
     void main() {
         #pragma omp parallel for
@@ -146,22 +546,20 @@ def test_fallback_to_batch_for_indirect_index():
     """
     n = 64
     rng = np.random.default_rng(3)
-    base = {"a": rng.standard_normal(n), "out": np.zeros(n)}
-
-    arrays_cg = {k: v.copy() for k, v in base.items()}
-    ex, _ = _run(src, arrays_cg, {"n": n})
-    assert ex._codegen_stats["ran"] == 0
-    verdicts = list(ex._codegen_static_cache.values())
-    assert verdicts and not verdicts[0].eligible
-
-    arrays_tree = {k: v.copy() for k, v in base.items()}
-    _run(src, arrays_tree, {"n": n}, engine="tree")
-    assert arrays_cg["out"].tobytes() == arrays_tree["out"].tobytes()
+    ex = _run_both(
+        src,
+        lambda: {"a": rng.standard_normal(n), "out": np.zeros(n)},
+        scalars={"n": n},
+        outputs=("out",),
+    )
+    assert ex._codegen_stats["ran"] == 1
 
 
 def test_engine_validation_lists_valid_engines():
-    with pytest.raises(ValueError, match="codegen.*batch.*tree"):
+    with pytest.raises(ValueError, match="codegen.*tree"):
         Executor(parse(KERNEL_SRC), Machine(), engine="warp")
+    with pytest.raises(ValueError, match="valid engines are auto, codegen, tree"):
+        Executor(parse(KERNEL_SRC), Machine(), engine="batch")
 
 
 def test_kernel_source_shows_generated_numpy():
