@@ -199,14 +199,13 @@ class LoopBounds:
         self.scope.set(self.var, self.start + self.stride * self.trips)
 
 
-def recognize_bounds(executor, loop: ast.For, env) -> LoopBounds:
-    """Recognize ``for (init; cond; step)`` as a counted loop.
+def _loop_shape(loop: ast.For):
+    """``(var, bound expression, comparison, step expression)`` of a
+    counted ``for (init; var OP bound; var += step)``.
 
-    Executes the init clause exactly as the scalar tier would — charged
-    to the loop's counters, root-declaring assignment-style inits — and
-    evaluates the bound/stride uncharged.  Purity of all three clauses is
-    required so a later fallback's re-execution is idempotent.  Raises
-    :class:`CodegenIneligible` when the shape is not recognized.
+    Purity of all three clauses is required so a later fallback's
+    re-execution is idempotent.  Raises :class:`CodegenIneligible` when
+    the shape is not recognized.
     """
     if loop.init is None or loop.cond is None or loop.step is None:
         raise CodegenIneligible("loop without init/cond/step")
@@ -230,8 +229,20 @@ def recognize_bounds(executor, loop: ast.For, env) -> LoopBounds:
         raise CodegenIneligible("unrecognized loop step or init")
     if not (_is_pure(init_expr) and _is_pure(bound_expr) and _is_pure(step_expr)):
         raise CodegenIneligible("impure loop bounds")
+    return var, bound_expr, op, step_expr
 
+
+def recognize_bounds(executor, loop: ast.For, env, shape) -> LoopBounds:
+    """The lanes of *loop*, whose :func:`_loop_shape` is *shape*.
+
+    Executes the init clause exactly as the scalar tier would — charged
+    to the loop's counters, root-declaring assignment-style inits — and
+    evaluates the bound/stride uncharged.  Raises
+    :class:`CodegenIneligible` when the values do not make a counted loop.
+    """
     from repro.runtime.executor import Env
+
+    var, bound_expr, op, step_expr = shape
 
     scope = Env(parent=env)
     executor._exec_stmt(loop.init, scope)
@@ -272,6 +283,7 @@ class _StaticInfo:
         "eligible",
         "reason",
         "var",
+        "shape",
         "array_names",
         "scalar_names",
         "written",
@@ -287,6 +299,7 @@ class _StaticInfo:
         self.eligible = True
         self.reason: Optional[str] = None
         self.var: Optional[str] = None
+        self.shape: Optional[tuple] = None
         self.array_names: List[str] = []
         self.scalar_names: List[str] = []
         self.written: set = set()
@@ -563,24 +576,21 @@ def analyze_loop(loop: ast.For, functions=None) -> _StaticInfo:
 
     *functions* maps the program's function names to their definitions;
     calls to them are inlined."""
-    var = _loop_var_name(loop)
-    if var is None or _bad_name(var):
-        info = _StaticInfo()
-        info.reject(
-            "unrecognized induction variable"
-            if var is None else f"unsupported name {var!r}"
-        )
-        return info
-    screen = _Screen(
-        var, functions or {}, not isinstance(loop.init, ast.VarDecl)
-    )
-    info = screen.info
-    info.var = var
     try:
+        shape = _loop_shape(loop)
+        var = shape[0]
+        if _bad_name(var):
+            raise CodegenIneligible(f"unsupported name {var!r}")
+        screen = _Screen(
+            var, functions or {}, not isinstance(loop.init, ast.VarDecl)
+        )
+        screen.info.var, screen.info.shape = var, shape
         screen.stmt(loop.body)
     except CodegenIneligible as exc:
+        info = _StaticInfo()
         info.reject(str(exc))
-    return info
+        return info
+    return screen.info
 
 
 # ==========================================================================
@@ -1975,7 +1985,7 @@ def _scalar_kind(name: str, value):
 
 def _run(executor, loop: ast.For, env, info: _StaticInfo) -> int:
     """Generate/fetch the kernel, check dynamic safety, run it."""
-    bounds = recognize_bounds(executor, loop, env)
+    bounds = recognize_bounds(executor, loop, env, info.shape)
     trips, start, stride = bounds.trips, bounds.start, bounds.stride
     if trips == 0:
         bounds.finalize_induction()
