@@ -1,371 +1,22 @@
-"""Unit tests for the batched execution fast path (runtime/batch_exec).
+"""The retired batch tier's remaining surface.
 
-Each test runs one small MiniC program under the tree walker and under
-the batch engine and asserts the two agree bit-for-bit on outputs,
-dynamic operation counters, and simulated time — including fallback and
-error cases, where the batch engine must behave as if it never ran.
+The batch lane interpreter is gone: the loops it ran now run on codegen
+(see ``test_codegen.py``).  What is left is its name: ``"batch"`` is no
+longer an engine, and asking for it — from the executor or from a
+service job spec — fails with the error that lists the valid engines.
 """
 
-import numpy as np
 import pytest
 
 from repro.minic.parser import parse
-from repro.runtime.executor import ExecutionError, Executor, Machine
-
-
-def _execute(source, engine, arrays=None, scalars=None):
-    executor = Executor(parse(source), Machine(), engine=engine)
-    result = executor.run(
-        arrays=arrays or {}, scalars=dict(scalars or {})
-    )
-    return executor, result
-
-
-def _run_both(source, make_arrays, scalars=None, outputs=()):
-    """Run under both engines; assert parity; return the batch executor."""
-    tree_ex, tree = _execute(source, "tree", make_arrays(), scalars)
-    batch_ex, batch = _execute(source, "batch", make_arrays(), scalars)
-    for name in outputs:
-        expected, actual = tree.array(name), batch.array(name)
-        assert expected.dtype == actual.dtype, name
-        assert expected.tobytes() == actual.tobytes(), name
-    assert batch.stats.ops.as_dict() == tree.stats.ops.as_dict()
-    assert batch.stats.total_time == tree.stats.total_time
-    return batch_ex
-
-
-def test_simple_loop_batches():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            B[i] = A[i] * 2.0 + 1.0;
-        }
-    }
-    """
-    batch_ex = _run_both(
-        source,
-        lambda: {
-            "A": np.arange(64, dtype=np.float64),
-            "B": np.zeros(64, dtype=np.float64),
-        },
-        scalars={"n": 64},
-        outputs=("B",),
-    )
-    assert batch_ex._batch_stats["batched"] == 1
-    assert batch_ex._batch_stats["fallback"] == 0
-
-
-def test_masked_control_flow():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            if (A[i] > 0.5) {
-                B[i] = sqrt(A[i]);
-            } else {
-                B[i] = A[i] * A[i];
-            }
-            C[i] = A[i] > 0.25 ? 1.0 : -1.0;
-        }
-    }
-    """
-    rng = np.random.default_rng(7)
-    data = rng.random(97)
-    batch_ex = _run_both(
-        source,
-        lambda: {
-            "A": data.copy(),
-            "B": np.zeros(97),
-            "C": np.zeros(97),
-        },
-        scalars={"n": 97},
-        outputs=("B", "C"),
-    )
-    assert batch_ex._batch_stats["batched"] == 1
-
-
-def test_function_inlining_with_early_return():
-    source = """
-    double clamp01(double x) {
-        if (x < 0.0) {
-            return 0.0;
-        }
-        if (x > 1.0) {
-            return 1.0;
-        }
-        return x;
-    }
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            B[i] = clamp01(A[i] * 3.0 - 1.0);
-        }
-    }
-    """
-    rng = np.random.default_rng(11)
-    data = rng.random(80)
-    batch_ex = _run_both(
-        source,
-        lambda: {"A": data.copy(), "B": np.zeros(80)},
-        scalars={"n": 80},
-        outputs=("B",),
-    )
-    assert batch_ex._batch_stats["batched"] == 1
-
-
-def test_inner_sequential_loop():
-    source = """
-    void main(int n, int m) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            double acc = 0.0;
-            for (int j = 0; j < m; j++) {
-                acc = acc + A[i * m + j];
-            }
-            B[i] = acc;
-        }
-    }
-    """
-    rng = np.random.default_rng(3)
-    data = rng.random(12 * 5)
-    batch_ex = _run_both(
-        source,
-        lambda: {"A": data.copy(), "B": np.zeros(12)},
-        scalars={"n": 12, "m": 5},
-        outputs=("B",),
-    )
-    assert batch_ex._batch_stats["batched"] == 1
-
-
-def test_gather_through_index_array():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            B[i] = A[idx[i]] + 1.0;
-        }
-    }
-    """
-    rng = np.random.default_rng(5)
-    perm = rng.permutation(50).astype(np.int32)
-    data = rng.random(50)
-    batch_ex = _run_both(
-        source,
-        lambda: {
-            "A": data.copy(),
-            "idx": perm.copy(),
-            "B": np.zeros(50),
-        },
-        scalars={"n": 50},
-        outputs=("B",),
-    )
-    assert batch_ex._batch_stats["batched"] == 1
-
-
-def test_cross_lane_dependence_falls_back():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 1; i < n; i++) {
-            A[i] = A[i - 1] + 1.0;
-        }
-    }
-    """
-    batch_ex = _run_both(
-        source,
-        lambda: {"A": np.zeros(32)},
-        scalars={"n": 32},
-        outputs=("A",),
-    )
-    assert batch_ex._batch_stats["fallback"] == 1
-    assert batch_ex._batch_stats["batched"] == 0
-
-
-def test_scalar_reduction_falls_back():
-    source = """
-    void main(int n) {
-        double total = 0.0;
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            total = total + A[i];
-        }
-        B[0] = total;
-    }
-    """
-    batch_ex = _run_both(
-        source,
-        lambda: {"A": np.arange(16, dtype=np.float64), "B": np.zeros(1)},
-        scalars={"n": 16},
-        outputs=("B",),
-    )
-    # Statically ineligible: rejected before any batched attempt.
-    assert batch_ex._batch_stats["batched"] == 0
-    info = next(iter(batch_ex._batch_static_cache.values()))
-    assert not info.eligible
-    assert "total" in info.reason
-
-
-def test_while_body_falls_back():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            double x = A[i];
-            while (x > 1.0) {
-                x = x / 2.0;
-            }
-            B[i] = x;
-        }
-    }
-    """
-    batch_ex = _run_both(
-        source,
-        lambda: {
-            "A": np.arange(24, dtype=np.float64),
-            "B": np.zeros(24),
-        },
-        scalars={"n": 24},
-        outputs=("B",),
-    )
-    # Statically ineligible: rejected before any batched attempt.
-    assert batch_ex._batch_stats["batched"] == 0
-    info = next(iter(batch_ex._batch_static_cache.values()))
-    assert not info.eligible
-
-
-def test_lane_varying_inner_bound_falls_back():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            double acc = 0.0;
-            for (int j = 0; j < counts[i]; j++) {
-                acc = acc + A[j];
-            }
-            B[i] = acc;
-        }
-    }
-    """
-    counts = np.array([1, 3, 2, 5, 4, 2, 1, 3], dtype=np.int32)
-    batch_ex = _run_both(
-        source,
-        lambda: {
-            "A": np.arange(8, dtype=np.float64),
-            "counts": counts.copy(),
-            "B": np.zeros(8),
-        },
-        scalars={"n": 8},
-        outputs=("B",),
-    )
-    assert batch_ex._batch_stats["fallback"] == 1
-
-
-def test_out_of_bounds_error_is_identical():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            B[i + 2] = A[i];
-        }
-    }
-    """
-
-    def arrays():
-        return {"A": np.arange(8, dtype=np.float64), "B": np.zeros(8)}
-
-    messages = {}
-    finals = {}
-    for engine in ("tree", "batch"):
-        executor = Executor(parse(source), Machine(), engine=engine)
-        with pytest.raises(ExecutionError) as excinfo:
-            executor.run(arrays=arrays(), scalars={"n": 8})
-        messages[engine] = str(excinfo.value)
-        finals[engine] = executor.machine.host.array("B").copy()
-    assert messages["batch"] == messages["tree"]
-    assert finals["batch"].tobytes() == finals["tree"].tobytes()
-
-
-def test_division_by_zero_is_identical():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            B[i] = C[i] / D[i];
-        }
-    }
-    """
-
-    def arrays():
-        return {
-            "C": np.arange(8, dtype=np.int32),
-            "D": np.array([1, 2, 1, 0, 1, 1, 1, 1], dtype=np.int32),
-            "B": np.zeros(8, dtype=np.int32),
-        }
-
-    kinds = {}
-    for engine in ("tree", "batch"):
-        executor = Executor(parse(source), Machine(), engine=engine)
-        with pytest.raises(Exception) as excinfo:
-            executor.run(arrays=arrays(), scalars={"n": 8})
-        kinds[engine] = (type(excinfo.value).__name__, str(excinfo.value))
-    assert kinds["batch"] == kinds["tree"]
-
-
-def test_tree_engine_never_batches():
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            B[i] = A[i] + 1.0;
-        }
-    }
-    """
-    executor, _ = _execute(
-        source,
-        "tree",
-        {"A": np.arange(8, dtype=np.float64), "B": np.zeros(8)},
-        {"n": 8},
-    )
-    assert executor._batch_stats == {"batched": 0, "fallback": 0}
+from repro.runtime.executor import Executor, Machine
+from repro.service.jobs import JobSpec
 
 
 def test_engine_validation():
     with pytest.raises(ValueError):
         Executor(parse("void main() {}"), Machine(), engine="warp")
-
-
-def test_dynamic_bail_poisons_static_cache():
-    """After a dynamic hazard, the same loop node must not retry batching."""
-    source = """
-    void main(int n) {
-        #pragma omp parallel for
-        for (int i = 0; i < n; i++) {
-            A[idx[i]] = A[i] + 1.0;
-        }
-    }
-    """
-    idx = np.zeros(8, dtype=np.int32)  # every lane writes slot 0
-    executor, _ = _execute(
-        source,
-        "batch",
-        {"A": np.arange(8, dtype=np.float64), "idx": idx},
-        {"n": 8},
-    )
-    assert executor._batch_stats["fallback"] == 1
-    info = next(iter(executor._batch_static_cache.values()))
-    assert not info.eligible
-
-
-def test_opcounters_copy_and_as_dict():
-    from repro.hardware.device import OpCounters
-
-    counters = OpCounters(flops=3, loads=2, bytes_read=16)
-    clone = counters.copy()
-    clone.flops += 1
-    assert counters.flops == 3
-    assert counters.as_dict()["bytes_read"] == 16
-    assert set(counters.as_dict()) >= {
-        "flops", "int_ops", "loads", "stores", "bytes_read",
-        "bytes_written", "irregular_accesses", "calls", "branches",
-    }
+    with pytest.raises(ValueError, match="valid engines are auto, codegen, tree"):
+        Executor(parse("void main() {}"), Machine(), engine="batch")
+    with pytest.raises(ValueError, match="valid engines are auto, codegen, tree"):
+        JobSpec(kind="bench", workload="kmeans", engine="batch").validate()
